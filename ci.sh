@@ -55,15 +55,18 @@ echo "== cluster smoke run =="
 # gate on any multi-core host (single-core hosts report the ratio but
 # cannot run workers concurrently, so only byte-identity is gated),
 # and the streamed per-shard journal plus its cross-shard merge must
-# satisfy the lint ordering invariants.
+# satisfy the lint ordering invariants. The merged journals of the two
+# invocations must be byte-identical as well.
 cargo run --release -p rtr-bench --bin cluster_scenario -- \
     --threads 1 --json "$obs_dir/cluster_t1.json" \
-    --snapshot-out "$obs_dir/cluster_snap_t1.json" 2> /dev/null
+    --snapshot-out "$obs_dir/cluster_snap_t1.json" \
+    --journal "$obs_dir/cluster_journal_t1" 2> /dev/null
 cargo run --release -p rtr-bench --bin cluster_scenario -- \
     --threads 4 --min-speedup 2 --json BENCH_cluster.json \
     --snapshot-out "$obs_dir/cluster_snap_t4.json" \
     --journal "$obs_dir/cluster_journal" 2> /dev/null
 cmp "$obs_dir/cluster_snap_t1.json" "$obs_dir/cluster_snap_t4.json"
+cmp "$obs_dir/cluster_journal_t1.merged.jsonl" "$obs_dir/cluster_journal.merged.jsonl"
 cargo run --release -p rtr-bench --bin trace_lint -- \
     --journal "$obs_dir/cluster_journal.shard000.jsonl" \
     --journal-merged "$obs_dir/cluster_journal.merged.jsonl"
@@ -80,6 +83,7 @@ echo "== federation smoke run =="
 cargo run --release -p rtr-bench --bin federation_scenario -- \
     --threads 1 --json "$obs_dir/federation_t1.json" \
     --snapshot-out "$obs_dir/fed_snap_t1.json" \
+    --journal "$obs_dir/fed_journal_t1" \
     --telemetry "$obs_dir/fed_tl_t1" 2> /dev/null
 cargo run --release -p rtr-bench --bin federation_scenario -- \
     --threads 4 --json BENCH_federation.json \
@@ -87,8 +91,9 @@ cargo run --release -p rtr-bench --bin federation_scenario -- \
     --journal "$obs_dir/fed_journal" \
     --telemetry "$obs_dir/fed_tl_t4" 2> /dev/null
 cmp "$obs_dir/fed_snap_t1.json" "$obs_dir/fed_snap_t4.json"
-# The merged telemetry stream is pure simulated state too: the inline
-# and pooled invocations must produce equal bytes.
+# The merged journal and telemetry streams are pure simulated state
+# too: the inline and pooled invocations must produce equal bytes.
+cmp "$obs_dir/fed_journal_t1.merged.jsonl" "$obs_dir/fed_journal.merged.jsonl"
 cmp "$obs_dir/fed_tl_t1.merged.tl.jsonl" "$obs_dir/fed_tl_t4.merged.tl.jsonl"
 grep -q '"cost_model_beats_round_robin": true' BENCH_federation.json
 grep -q '"steal_engaged": true' BENCH_federation.json

@@ -42,6 +42,7 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
+use rtr_bench::lint::{lint_stream, StreamOrder};
 use rtr_bench::scenario::ScenarioArgs;
 use rtr_trace::KIND_NAMES;
 use vp2_sim::Json;
@@ -49,14 +50,14 @@ use vp2_sim::Json;
 /// Tolerance on the per-shard fraction sum.
 const EPSILON: f64 = 1e-9;
 
+fn read(path: &str, problems: &mut Vec<String>) -> Option<String> {
+    std::fs::read_to_string(path)
+        .map_err(|e| problems.push(format!("{path}: cannot read: {e}")))
+        .ok()
+}
+
 fn load(path: &str, problems: &mut Vec<String>) -> Option<Json> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            problems.push(format!("{path}: cannot read: {e}"));
-            return None;
-        }
-    };
+    let text = read(path, problems)?;
     match Json::parse(&text) {
         Ok(json) => Some(json),
         Err(e) => {
@@ -314,50 +315,23 @@ fn lint_trace(path: &str, doc: &Json, problems: &mut Vec<String>) {
     );
 }
 
-/// Checks a streamed JSONL journal. `merged` selects the ordering
-/// invariant: a per-shard stream is in emission order (strictly
-/// increasing `seq`, one constant shard id), the merged file is in the
-/// canonical `(time_ps, shard, seq)` total order.
+/// Checks a streamed JSONL journal: the shared ordering rules (see
+/// [`lint_stream`]) plus the per-kind content checks — every line names
+/// a kind the tracer can emit, and federation, scrub and canary events
+/// are self-describing.
 fn lint_journal(path: &str, merged: bool, problems: &mut Vec<String>) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            problems.push(format!("{path}: cannot read: {e}"));
-            return;
-        }
+    let Some(text) = read(path, problems) else {
+        return;
     };
-    let mut lines = 0usize;
-    let mut stream_shard: Option<i64> = None;
-    let mut last_seq: Option<i64> = None;
-    let mut last_key: Option<(i64, i64, i64)> = None;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        lines += 1;
-        let ev = match Json::parse(line) {
-            Ok(ev) => ev,
-            Err(e) => {
-                problems.push(format!("{path}: line {}: not valid JSON: {e}", i + 1));
-                continue;
-            }
-        };
+    let order = StreamOrder::journal(merged);
+    let lines = lint_stream(path, &text, order, problems, |ev, n, problems| {
         let int = |key: &str| ev.get(key).and_then(Json::as_f64).map(|v| v as i64);
-        let kind = ev.get("kind").and_then(Json::as_str);
-        let (Some(time), Some(shard), Some(seq), Some(kind)) =
-            (int("time_ps"), int("shard"), int("seq"), kind)
-        else {
-            problems.push(format!(
-                "{path}: line {}: missing one of time_ps/shard/seq/kind",
-                i + 1
-            ));
-            continue;
+        let Some(kind) = ev.get("kind").and_then(Json::as_str) else {
+            problems.push(format!("{path}: line {n}: missing kind"));
+            return;
         };
         if !KIND_NAMES.contains(&kind) {
-            problems.push(format!(
-                "{path}: line {}: unknown event kind {kind:?}",
-                i + 1
-            ));
+            problems.push(format!("{path}: line {n}: unknown event kind {kind:?}"));
         }
         // Federation decisions must be self-describing in the raw
         // journal too, not just in the Chrome export.
@@ -369,8 +343,7 @@ fn lint_journal(path: &str, merged: bool, problems: &mut Vec<String>) {
                     || int("estimate_ps").is_none_or(|e| e < 0)
                 {
                     problems.push(format!(
-                        "{path}: line {}: fed_route missing pool/kernel/estimate_ps",
-                        i + 1
+                        "{path}: line {n}: fed_route missing pool/kernel/estimate_ps"
                     ));
                 }
             }
@@ -378,20 +351,17 @@ fn lint_journal(path: &str, merged: bool, problems: &mut Vec<String>) {
                 match (int("from_pool"), int("to_pool")) {
                     (Some(from), Some(to)) if from == to => {
                         problems.push(format!(
-                            "{path}: line {}: {kind} from pool {from} to itself",
-                            i + 1
+                            "{path}: line {n}: {kind} from pool {from} to itself"
                         ));
                     }
                     (Some(_), Some(_)) => {}
                     _ => problems.push(format!(
-                        "{path}: line {}: {kind} missing from_pool/to_pool",
-                        i + 1
+                        "{path}: line {n}: {kind} missing from_pool/to_pool"
                     )),
                 }
                 if kind == "fed_steal" && int("moved").is_none_or(|m| m < 1) {
                     problems.push(format!(
-                        "{path}: line {}: fed_steal moved fewer than one request",
-                        i + 1
+                        "{path}: line {n}: fed_steal moved fewer than one request"
                     ));
                 }
             }
@@ -400,71 +370,34 @@ fn lint_journal(path: &str, merged: bool, problems: &mut Vec<String>) {
             "scrub_pass" => match (int("frames"), int("mismatched")) {
                 (Some(frames), Some(mismatched)) if mismatched > frames => {
                     problems.push(format!(
-                        "{path}: line {}: scrub_pass found {mismatched} \
-                         mismatches in only {frames} frames",
-                        i + 1
+                        "{path}: line {n}: scrub_pass found {mismatched} \
+                         mismatches in only {frames} frames"
                     ));
                 }
                 (Some(_), Some(_)) => {}
                 _ => problems.push(format!(
-                    "{path}: line {}: scrub_pass missing frames/mismatched",
-                    i + 1
+                    "{path}: line {n}: scrub_pass missing frames/mismatched"
                 )),
             },
             "scrub_repair" if int("frames").is_none_or(|f| f < 1) => {
                 problems.push(format!(
-                    "{path}: line {}: scrub_repair re-wrote fewer than one frame",
-                    i + 1
+                    "{path}: line {n}: scrub_repair re-wrote fewer than one frame"
                 ));
             }
             "canary_probe" | "canary_result" => {
                 let kernel = ev.get("kernel").and_then(Json::as_str);
                 if kernel.is_none_or(str::is_empty) {
-                    problems.push(format!("{path}: line {}: {kind} without a kernel", i + 1));
+                    problems.push(format!("{path}: line {n}: {kind} without a kernel"));
                 }
                 if kind == "canary_result" && !matches!(ev.get("admitted"), Some(Json::Bool(_))) {
                     problems.push(format!(
-                        "{path}: line {}: canary_result without a boolean verdict",
-                        i + 1
+                        "{path}: line {n}: canary_result without a boolean verdict"
                     ));
                 }
             }
             _ => {}
         }
-        if merged {
-            let key = (time, shard, seq);
-            if let Some(last) = last_key {
-                if key <= last {
-                    problems.push(format!(
-                        "{path}: line {}: (time_ps, shard, seq) key {key:?} \
-                         does not advance past {last:?}",
-                        i + 1
-                    ));
-                }
-            }
-            last_key = Some(key);
-        } else {
-            match stream_shard {
-                None => stream_shard = Some(shard),
-                Some(expected) if expected != shard => {
-                    problems.push(format!(
-                        "{path}: line {}: shard {shard} in a shard-{expected} stream",
-                        i + 1
-                    ));
-                }
-                Some(_) => {}
-            }
-            if let Some(last) = last_seq {
-                if seq <= last {
-                    problems.push(format!(
-                        "{path}: line {}: seq {seq} does not advance past {last}",
-                        i + 1
-                    ));
-                }
-            }
-            last_seq = Some(seq);
-        }
-    }
+    });
     if lines == 0 {
         problems.push(format!("{path}: journal is empty"));
     }
@@ -472,50 +405,23 @@ fn lint_journal(path: &str, merged: bool, problems: &mut Vec<String>) {
     eprintln!("[lint] {path}: {lines} {flavor} journal event(s)");
 }
 
-/// Checks a streamed telemetry time-series. `merged` selects the
-/// ordering invariant: a per-shard stream carries one constant shard
-/// id, a never-decreasing `tick` and a strictly increasing `seq`; the
-/// merged file is in the canonical `(tick, shard, seq)` total order.
-/// Every row must be self-describing: a non-empty scope and a
-/// non-empty gauge map whose values are all finite numbers.
+/// Checks a streamed telemetry time-series: the shared ordering rules
+/// (see [`lint_stream`]) plus the per-row content checks — every row
+/// carries its `time_ps`, a non-empty scope and a non-empty gauge map
+/// whose values are all finite numbers.
 fn lint_telemetry(path: &str, merged: bool, problems: &mut Vec<String>) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            problems.push(format!("{path}: cannot read: {e}"));
-            return;
-        }
+    let Some(text) = read(path, problems) else {
+        return;
     };
-    let mut lines = 0usize;
-    let mut stream_shard: Option<i64> = None;
-    let mut last_tick: Option<i64> = None;
-    let mut last_seq: Option<i64> = None;
-    let mut last_key: Option<(i64, i64, i64)> = None;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        lines += 1;
-        let ev = match Json::parse(line) {
-            Ok(ev) => ev,
-            Err(e) => {
-                problems.push(format!("{path}: line {}: not valid JSON: {e}", i + 1));
-                continue;
-            }
-        };
-        let int = |key: &str| ev.get(key).and_then(Json::as_f64).map(|v| v as i64);
+    let order = StreamOrder::telemetry(merged);
+    let lines = lint_stream(path, &text, order, problems, |ev, n, problems| {
         let scope = ev.get("scope").and_then(Json::as_str);
-        let (Some(tick), Some(_), Some(shard), Some(seq), Some(scope)) =
-            (int("tick"), int("time_ps"), int("shard"), int("seq"), scope)
-        else {
-            problems.push(format!(
-                "{path}: line {}: missing one of tick/time_ps/shard/seq/scope",
-                i + 1
-            ));
-            continue;
+        let (Some(_), Some(scope)) = (ev.get("time_ps").and_then(Json::as_f64), scope) else {
+            problems.push(format!("{path}: line {n}: missing time_ps or scope"));
+            return;
         };
         if scope.is_empty() {
-            problems.push(format!("{path}: line {}: empty scope", i + 1));
+            problems.push(format!("{path}: line {n}: empty scope"));
         }
         // Each sample must describe itself: at least one gauge, every
         // value a finite number (NaN/inf would poison any aggregation
@@ -526,60 +432,14 @@ fn lint_telemetry(path: &str, merged: bool, problems: &mut Vec<String>) {
                     match value.as_f64() {
                         Some(v) if v.is_finite() => {}
                         _ => problems.push(format!(
-                            "{path}: line {}: gauge {name:?} is not a finite number",
-                            i + 1
+                            "{path}: line {n}: gauge {name:?} is not a finite number"
                         )),
                     }
                 }
             }
-            _ => problems.push(format!(
-                "{path}: line {}: missing or empty gauges object",
-                i + 1
-            )),
+            _ => problems.push(format!("{path}: line {n}: missing or empty gauges object")),
         }
-        if merged {
-            let key = (tick, shard, seq);
-            if let Some(last) = last_key {
-                if key <= last {
-                    problems.push(format!(
-                        "{path}: line {}: (tick, shard, seq) key {key:?} \
-                         does not advance past {last:?}",
-                        i + 1
-                    ));
-                }
-            }
-            last_key = Some(key);
-        } else {
-            match stream_shard {
-                None => stream_shard = Some(shard),
-                Some(expected) if expected != shard => {
-                    problems.push(format!(
-                        "{path}: line {}: shard {shard} in a shard-{expected} stream",
-                        i + 1
-                    ));
-                }
-                Some(_) => {}
-            }
-            if let Some(last) = last_tick {
-                if tick < last {
-                    problems.push(format!(
-                        "{path}: line {}: tick {tick} steps back from {last}",
-                        i + 1
-                    ));
-                }
-            }
-            last_tick = Some(tick);
-            if let Some(last) = last_seq {
-                if seq <= last {
-                    problems.push(format!(
-                        "{path}: line {}: seq {seq} does not advance past {last}",
-                        i + 1
-                    ));
-                }
-            }
-            last_seq = Some(seq);
-        }
-    }
+    });
     if lines == 0 {
         problems.push(format!("{path}: telemetry stream is empty"));
     }

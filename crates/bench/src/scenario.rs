@@ -79,10 +79,10 @@ impl ScenarioArgs {
     }
 
     /// The telemetry sampling tick in picoseconds (`--tick PS`, default
-    /// 1 ms of simulated time).
+    /// 1 ms of simulated time). Zero is passed through, and
+    /// [`Telemetry::with_tick`] rejects it.
     pub fn tick_ps(&self) -> u64 {
         self.parsed_or("--tick", rtr_telemetry::DEFAULT_TICK_PS)
-            .max(1)
     }
 
     /// A telemetry handle for the scenario's designated run: enabled
@@ -166,17 +166,9 @@ pub fn export_trace(tag: &str, args: &ScenarioArgs, tracer: &Tracer) {
         eprint!("{report}");
     }
     if let Some(base) = args.journal_base() {
-        let shard_files = tracer
-            .flush_streams()
-            .unwrap_or_else(|e| panic!("flush journal streams {base}: {e}"));
-        let merged = format!("{base}.merged.jsonl");
-        let lines = tracer
-            .merge_streams(&merged)
-            .unwrap_or_else(|e| panic!("merge journal streams {base}: {e}"));
-        eprintln!(
-            "[{tag}] wrote {merged} ({lines} events from {} shard journal(s))",
-            shard_files.len()
-        );
+        export_streams(tag, &format!("{base}.merged.jsonl"), |out| {
+            tracer.merge_streams(out)
+        });
     }
 }
 
@@ -188,20 +180,18 @@ pub fn export_telemetry(tag: &str, args: &ScenarioArgs, telemetry: &Telemetry) {
     if !telemetry.on() {
         return;
     }
-    let Some(base) = args.telemetry_base() else {
-        return;
-    };
-    let shard_files = telemetry
-        .flush_streams()
-        .unwrap_or_else(|e| panic!("flush telemetry streams {base}: {e}"));
-    let merged = format!("{base}.merged.tl.jsonl");
-    let rows = telemetry
-        .merge_streams(&merged)
-        .unwrap_or_else(|e| panic!("merge telemetry streams {base}: {e}"));
-    eprintln!(
-        "[{tag}] wrote {merged} ({rows} samples from {} shard series)",
-        shard_files.len()
-    );
+    if let Some(base) = args.telemetry_base() {
+        export_streams(tag, &format!("{base}.merged.tl.jsonl"), |out| {
+            telemetry.merge_streams(out)
+        });
+    }
+}
+
+/// Runs a handle's `merge_streams` (which flushes every per-shard sink
+/// first) into `merged` and logs the merged line count.
+fn export_streams(tag: &str, merged: &str, merge: impl FnOnce(&str) -> std::io::Result<usize>) {
+    let lines = merge(merged).unwrap_or_else(|e| panic!("merge streams into {merged}: {e}"));
+    eprintln!("[{tag}] wrote {merged} ({lines} lines)");
 }
 
 #[cfg(test)]
@@ -225,5 +215,21 @@ mod tests {
         assert_eq!(args.parsed_or("--missing", 5u64), 5);
         assert_eq!(args.json_path().as_deref(), Some("out.json"));
         assert_eq!(args.value_of("--nope"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "tick period must be positive")]
+    fn zero_tick_is_rejected() {
+        let base = std::env::temp_dir().join(format!("rtr_zero_tick_{}", std::process::id()));
+        let args = ScenarioArgs {
+            args: vec![
+                "--telemetry".into(),
+                base.to_str().expect("utf-8 temp path").into(),
+                "--tick".into(),
+                "0".into(),
+            ],
+        };
+        assert_eq!(args.tick_ps(), 0, "no clamp: the handle decides");
+        let _ = args.telemetry();
     }
 }

@@ -1,10 +1,10 @@
-//! The telemetry handle, its per-shard series, and the streaming sink.
+//! The telemetry handle: a per-shard [`ShardStream`] of
+//! [`TelemetryRow`]s.
 //!
-//! Structurally a sibling of `rtr_trace::Tracer`: a registry of
-//! per-shard series behind `Arc<Mutex<_>>`, handles resolved once at
-//! creation so the sampling path never touches the registry lock, JSONL
-//! sinks attached per series, and a `(tick, shard, seq)` merge that is
-//! a total order independent of thread interleaving.
+//! The per-shard registry, ring, JSONL sinks and the `(tick, shard,
+//! seq)` merge are the same substrate `rtr_trace::Tracer` runs on; this
+//! handle adds only its per-shard sampling state, kept under the shard
+//! lock by the substrate.
 //!
 //! What is *not* shared with the tracer is the emission model: instead
 //! of journaling every event, a series accepts at most one row per
@@ -12,12 +12,10 @@
 //! every flush) and the handle throttles to the tick grid, so a 10×
 //! busier run emits the same number of rows per simulated second.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::fs::File;
-use std::io::{BufWriter, Write as _};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeMap;
 
-use vp2_sim::{Json, SimTime};
+use rtr_trace::stream::{self, ShardStream};
+use vp2_sim::SimTime;
 
 use crate::row::{Gauge, GaugeKind, TelemetryRow};
 
@@ -73,14 +71,9 @@ impl Ring {
     }
 }
 
-/// One shard's series: the bounded row ring, the per-scope tick dedup
-/// and rate state, the per-lane latency windows, and the optional
-/// streaming sink.
+/// One shard's sampling state: the per-scope tick dedup and rate state
+/// and the per-lane latency windows.
 struct Series {
-    rows: VecDeque<TelemetryRow>,
-    capacity: usize,
-    dropped: u64,
-    next_seq: u64,
     /// Last tick a row was emitted for, per scope — the dedup that
     /// bounds the emission rate to the tick grid.
     last_tick: BTreeMap<&'static str, u64>,
@@ -89,61 +82,17 @@ struct Series {
     prev: BTreeMap<(&'static str, &'static str), (u64, f64)>,
     deadline_ring: Ring,
     effort_ring: Ring,
-    sink: Option<BufWriter<File>>,
-    sink_path: Option<String>,
 }
 
-impl Series {
-    fn new(capacity: usize, lane_window: usize) -> Series {
+impl Default for Series {
+    fn default() -> Series {
         Series {
-            rows: VecDeque::new(),
-            capacity,
-            dropped: 0,
-            next_seq: 0,
             last_tick: BTreeMap::new(),
             prev: BTreeMap::new(),
-            deadline_ring: Ring::new(lane_window),
-            effort_ring: Ring::new(lane_window),
-            sink: None,
-            sink_path: None,
+            deadline_ring: Ring::new(LANE_WINDOW),
+            effort_ring: Ring::new(LANE_WINDOW),
         }
     }
-
-    fn attach_sink(&mut self, path: &str) -> std::io::Result<()> {
-        self.sink = Some(BufWriter::new(File::create(path)?));
-        self.sink_path = Some(path.to_string());
-        Ok(())
-    }
-}
-
-/// State shared by every clone of an enabled telemetry handle.
-struct Shared {
-    capacity: usize,
-    tick_ps: u64,
-    lane_window: usize,
-    series: Mutex<BTreeMap<u32, Arc<Mutex<Series>>>>,
-    /// JSONL stream base path, once [`Telemetry::stream_to`] was
-    /// called; series registered later attach their sink on creation.
-    stream_base: Mutex<Option<String>>,
-}
-
-impl Shared {
-    /// The series in shard order (the deterministic fold order).
-    fn series(&self) -> Vec<(u32, Arc<Mutex<Series>>)> {
-        self.series
-            .lock()
-            .expect("series registry poisoned")
-            .iter()
-            .map(|(shard, s)| (*shard, Arc::clone(s)))
-            .collect()
-    }
-}
-
-/// The JSONL file one shard's streamed series lands in. The `.tl.`
-/// infix keeps telemetry streams distinct from the trace journals that
-/// may share a base path.
-fn shard_stream_path(base: &str, shard: u32) -> String {
-    format!("{base}.shard{shard:03}.tl.jsonl")
 }
 
 /// A cheaply cloneable, `Send` handle onto a set of per-shard telemetry
@@ -157,22 +106,20 @@ fn shard_stream_path(base: &str, shard: u32) -> String {
 /// when telemetry is off.
 #[derive(Clone, Default)]
 pub struct Telemetry {
-    shared: Option<Arc<Shared>>,
-    /// This handle's shard series, resolved once at handle creation so
-    /// the sampling path never touches the registry lock.
-    series: Option<Arc<Mutex<Series>>>,
-    shard: u32,
+    stream: Option<ShardStream<TelemetryRow, Series>>,
+    /// The tick period in picoseconds (0 when disabled).
+    tick_ps: u64,
 }
 
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.shared {
-            Some(shared) => write!(
+        match &self.stream {
+            Some(stream) => write!(
                 f,
                 "Telemetry(shard {}, tick {} ps, {} rows)",
-                self.shard,
-                shared.tick_ps,
-                self.len()
+                stream.shard(),
+                self.tick_ps,
+                stream.len()
             ),
             None => write!(f, "Telemetry(disabled)"),
         }
@@ -196,48 +143,19 @@ impl Telemetry {
     /// Panics if `tick` is zero — a zero period has no tick grid.
     pub fn with_tick(tick: SimTime) -> Telemetry {
         assert!(!tick.is_zero(), "the tick period must be positive");
-        let shared = Arc::new(Shared {
-            capacity: DEFAULT_CAPACITY,
+        Telemetry {
+            stream: Some(ShardStream::new(DEFAULT_CAPACITY)),
             tick_ps: tick.as_ps(),
-            lane_window: LANE_WINDOW,
-            series: Mutex::new(BTreeMap::new()),
-            stream_base: Mutex::new(None),
-        });
-        let telemetry = Telemetry {
-            shared: Some(shared),
-            series: None,
-            shard: 0,
-        };
-        telemetry.with_shard(0)
+        }
     }
 
     /// A handle bound to `shard`'s series (created on first use, with a
     /// streaming sink attached when [`Telemetry::stream_to`] is
     /// active).
     pub fn with_shard(&self, shard: u32) -> Telemetry {
-        let Some(shared) = &self.shared else {
-            return Telemetry::disabled();
-        };
-        let mut registry = shared.series.lock().expect("series registry poisoned");
-        let series = registry
-            .entry(shard)
-            .or_insert_with(|| {
-                let mut series = Series::new(shared.capacity, shared.lane_window);
-                let base = shared.stream_base.lock().expect("stream base poisoned");
-                if let Some(base) = base.as_deref() {
-                    let path = shard_stream_path(base, shard);
-                    series
-                        .attach_sink(&path)
-                        .unwrap_or_else(|e| panic!("telemetry stream: cannot create {path}: {e}"));
-                }
-                Arc::new(Mutex::new(series))
-            })
-            .clone();
-        drop(registry);
         Telemetry {
-            shared: Some(Arc::clone(shared)),
-            series: Some(series),
-            shard,
+            stream: self.stream.as_ref().map(|s| s.with_shard(shard)),
+            tick_ps: self.tick_ps,
         }
     }
 
@@ -245,14 +163,12 @@ impl Telemetry {
     /// whose computation costs anything.
     #[inline]
     pub fn on(&self) -> bool {
-        self.shared.is_some()
+        self.stream.is_some()
     }
 
     /// The sampling tick period ([`SimTime::ZERO`] when disabled).
     pub fn tick_period(&self) -> SimTime {
-        self.shared
-            .as_ref()
-            .map_or(SimTime::ZERO, |s| SimTime::from_ps(s.tick_ps))
+        SimTime::from_ps(self.tick_ps)
     }
 
     /// Feeds one completed request's latency into this shard's per-lane
@@ -260,13 +176,14 @@ impl Telemetry {
     /// [`Telemetry::sample_with_tails`] computes p99 gauges over —
     /// constant memory however long the run.
     pub fn record_latency(&self, deadline: bool, latency: SimTime) {
-        let Some(series) = &self.series else { return };
-        let mut s = series.lock().expect("series poisoned");
-        if deadline {
-            s.deadline_ring.push(latency.as_ps());
-        } else {
-            s.effort_ring.push(latency.as_ps());
-        }
+        let Some(stream) = &self.stream else { return };
+        stream.with_state(|s| {
+            if deadline {
+                s.deadline_ring.push(latency.as_ps());
+            } else {
+                s.effort_ring.push(latency.as_ps());
+            }
+        });
     }
 
     /// Takes one sample at simulated instant `time` under `scope`. At
@@ -290,92 +207,67 @@ impl Telemetry {
     }
 
     fn sample_inner(&self, time: SimTime, scope: &'static str, gauges: &[Gauge], tails: bool) {
-        let (Some(series), Some(shared)) = (&self.series, &self.shared) else {
-            return;
-        };
-        let tick = time.as_ps() / shared.tick_ps;
-        let mut s = series.lock().expect("series poisoned");
-        if s.last_tick.get(scope) == Some(&tick) {
-            return;
-        }
-        s.last_tick.insert(scope, tick);
-        let mut values: Vec<(&'static str, f64)> = Vec::with_capacity(gauges.len() + 2);
-        for gauge in gauges {
-            match gauge.kind {
-                GaugeKind::Value(v) => values.push((gauge.name, v)),
-                GaugeKind::Rate(total) => {
-                    let (prev_ps, prev_total) = s
-                        .prev
-                        .get(&(scope, gauge.name))
-                        .copied()
-                        .unwrap_or((0, 0.0));
-                    // The first sample of a run can land at time 0;
-                    // charge it one tick so the rate stays finite.
-                    let dt_ps = match time.as_ps().saturating_sub(prev_ps) {
-                        0 => shared.tick_ps,
-                        dt => dt,
-                    };
-                    let rate = (total - prev_total).max(0.0) / (dt_ps as f64 * 1e-12);
-                    s.prev.insert((scope, gauge.name), (time.as_ps(), total));
-                    values.push((gauge.name, rate));
+        let Some(stream) = &self.stream else { return };
+        let tick_ps = self.tick_ps;
+        let tick = time.as_ps() / tick_ps;
+        stream.append(|s, shard, seq| {
+            if s.last_tick.get(scope) == Some(&tick) {
+                return None;
+            }
+            s.last_tick.insert(scope, tick);
+            let mut values: Vec<(&'static str, f64)> = Vec::with_capacity(gauges.len() + 2);
+            for gauge in gauges {
+                match gauge.kind {
+                    GaugeKind::Value(v) => values.push((gauge.name, v)),
+                    GaugeKind::Rate(total) => {
+                        let (prev_ps, prev_total) = s
+                            .prev
+                            .get(&(scope, gauge.name))
+                            .copied()
+                            .unwrap_or((0, 0.0));
+                        // The first sample of a run can land at time 0;
+                        // charge it one tick so the rate stays finite.
+                        let dt_ps = match time.as_ps().saturating_sub(prev_ps) {
+                            0 => tick_ps,
+                            dt => dt,
+                        };
+                        let rate = (total - prev_total).max(0.0) / (dt_ps as f64 * 1e-12);
+                        s.prev.insert((scope, gauge.name), (time.as_ps(), total));
+                        values.push((gauge.name, rate));
+                    }
                 }
             }
-        }
-        if tails {
-            if let Some(p99) = s.deadline_ring.p99() {
-                values.push(("p99_deadline_us", SimTime::from_ps(p99).as_us_f64()));
+            if tails {
+                if let Some(p99) = s.deadline_ring.p99() {
+                    values.push(("p99_deadline_us", SimTime::from_ps(p99).as_us_f64()));
+                }
+                if let Some(p99) = s.effort_ring.p99() {
+                    values.push(("p99_effort_us", SimTime::from_ps(p99).as_us_f64()));
+                }
             }
-            if let Some(p99) = s.effort_ring.p99() {
-                values.push(("p99_effort_us", SimTime::from_ps(p99).as_us_f64()));
-            }
-        }
-        let seq = s.next_seq;
-        s.next_seq += 1;
-        let row = TelemetryRow {
-            tick,
-            time,
-            shard: self.shard,
-            seq,
-            scope,
-            gauges: values,
-        };
-        if let Some(sink) = &mut s.sink {
-            let mut line = row.to_json().render();
-            line.push('\n');
-            sink.write_all(line.as_bytes())
-                .expect("telemetry stream: write failed");
-        }
-        if s.rows.len() == s.capacity {
-            s.rows.pop_front();
-            s.dropped += 1;
-        }
-        s.rows.push_back(row);
+            Some(TelemetryRow {
+                tick,
+                time,
+                shard,
+                seq,
+                scope,
+                gauges: values,
+            })
+        });
     }
 
     /// Snapshot of the merged in-memory rows, ordered by
     /// `(tick, shard, seq)` — the same total order the streamed merge
     /// sorts by, independent of how shard threads interleaved.
     pub fn rows(&self) -> Vec<TelemetryRow> {
-        let Some(shared) = &self.shared else {
-            return Vec::new();
-        };
-        let mut all = Vec::new();
-        for (_, series) in shared.series() {
-            let s = series.lock().expect("series poisoned");
-            all.extend(s.rows.iter().cloned());
-        }
-        all.sort_by_key(TelemetryRow::key);
-        all
+        self.stream
+            .as_ref()
+            .map_or_else(Vec::new, ShardStream::snapshot)
     }
 
     /// Rows currently held across every shard's in-memory ring.
     pub fn len(&self) -> usize {
-        let Some(shared) = &self.shared else { return 0 };
-        shared
-            .series()
-            .iter()
-            .map(|(_, s)| s.lock().expect("series poisoned").rows.len())
-            .sum()
+        self.stream.as_ref().map_or(0, ShardStream::len)
     }
 
     /// Is the series empty (always true when disabled)?
@@ -385,12 +277,7 @@ impl Telemetry {
 
     /// Rows evicted by the per-shard capacity bound, summed.
     pub fn dropped(&self) -> u64 {
-        let Some(shared) = &self.shared else { return 0 };
-        shared
-            .series()
-            .iter()
-            .map(|(_, s)| s.lock().expect("series poisoned").dropped)
-            .sum()
+        self.stream.as_ref().map_or(0, ShardStream::dropped)
     }
 
     /// Attaches a buffered JSONL sink to every series: each shard's
@@ -398,36 +285,15 @@ impl Telemetry {
     /// Series created later (new shards) attach their sink on creation.
     /// Call before the run — rows emitted earlier are not replayed.
     pub fn stream_to(&self, base: &str) -> std::io::Result<()> {
-        let Some(shared) = &self.shared else {
-            return Ok(());
-        };
-        *shared.stream_base.lock().expect("stream base poisoned") = Some(base.to_string());
-        for (shard, series) in shared.series() {
-            let mut s = series.lock().expect("series poisoned");
-            if s.sink.is_none() {
-                s.attach_sink(&shard_stream_path(base, shard))?;
-            }
-        }
-        Ok(())
+        self.stream.as_ref().map_or(Ok(()), |s| s.stream_to(base))
     }
 
     /// Flushes every streaming sink and returns the per-shard file
     /// paths in shard order (empty when streaming is off).
     pub fn flush_streams(&self) -> std::io::Result<Vec<String>> {
-        let Some(shared) = &self.shared else {
-            return Ok(Vec::new());
-        };
-        let mut paths = Vec::new();
-        for (_, series) in shared.series() {
-            let mut s = series.lock().expect("series poisoned");
-            if let Some(sink) = &mut s.sink {
-                sink.flush()?;
-            }
-            if let Some(path) = &s.sink_path {
-                paths.push(path.clone());
-            }
-        }
-        Ok(paths)
+        self.stream
+            .as_ref()
+            .map_or(Ok(Vec::new()), ShardStream::flush)
     }
 
     /// Merges the per-shard streamed series into one JSONL file at
@@ -436,40 +302,7 @@ impl Telemetry {
     /// merged lines. The merge holds the lines in memory; per-shard
     /// files are the scalable artifact for very long runs.
     pub fn merge_streams(&self, out: &str) -> std::io::Result<usize> {
-        let paths = self.flush_streams()?;
-        let mut lines: Vec<((u64, u32, u64), String)> = Vec::new();
-        for path in &paths {
-            let text = std::fs::read_to_string(path)?;
-            for line in text.lines() {
-                let doc = Json::parse(line).map_err(|e| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("{path}: bad telemetry line: {e}"),
-                    )
-                })?;
-                let num = |key: &str| {
-                    doc.get(key)
-                        .and_then(Json::as_f64)
-                        .map(|x| x as u64)
-                        .ok_or_else(|| {
-                            std::io::Error::new(
-                                std::io::ErrorKind::InvalidData,
-                                format!("{path}: telemetry line missing {key}"),
-                            )
-                        })
-                };
-                let key = (num("tick")?, num("shard")? as u32, num("seq")?);
-                lines.push((key, line.to_string()));
-            }
-        }
-        lines.sort_by_key(|(key, _)| *key);
-        let mut f = BufWriter::new(File::create(out)?);
-        for (_, line) in &lines {
-            f.write_all(line.as_bytes())?;
-            f.write_all(b"\n")?;
-        }
-        f.flush()?;
-        Ok(lines.len())
+        stream::merge::<TelemetryRow>(&self.flush_streams()?, out)
     }
 }
 
@@ -570,37 +403,21 @@ mod tests {
     }
 
     #[test]
-    fn streaming_merges_by_tick_shard_seq() {
+    fn series_stream_to_tl_jsonl_files() {
         let base = std::env::temp_dir().join(format!("rtr_tl_stream_{}", std::process::id()));
         let base = base.to_str().expect("utf-8 temp path").to_string();
         let t = Telemetry::with_tick(SimTime::from_us(100));
         t.stream_to(&base).expect("attach sinks");
-        let s1 = t.with_shard(1);
-        // Shard 1 emits an earlier tick *after* shard 0 emitted later
-        // ones: the merge must reorder by (tick, shard, seq).
+        t.with_shard(1)
+            .sample(SimTime::from_us(50), "service", &[Gauge::value("q", 3.0)]);
         t.sample(SimTime::from_us(150), "service", &[Gauge::value("q", 1.0)]);
-        t.sample(SimTime::from_us(250), "service", &[Gauge::value("q", 2.0)]);
-        s1.sample(SimTime::from_us(50), "service", &[Gauge::value("q", 3.0)]);
         let paths = t.flush_streams().expect("flush");
-        assert_eq!(paths.len(), 2);
         assert!(paths[0].ends_with(".shard000.tl.jsonl"));
+        assert!(paths[1].ends_with(".shard001.tl.jsonl"));
         let merged_path = format!("{base}.merged.tl.jsonl");
-        let merged = t.merge_streams(&merged_path).expect("merge");
-        assert_eq!(merged, 3);
-        let text = std::fs::read_to_string(&merged_path).expect("read merged");
-        let keys: Vec<(u64, u64, u64)> = text
-            .lines()
-            .map(|l| {
-                let doc = Json::parse(l).expect("line parses");
-                let num = |k: &str| doc.get(k).and_then(Json::as_f64).unwrap() as u64;
-                (num("tick"), num("shard"), num("seq"))
-            })
-            .collect();
-        assert_eq!(keys[0], (0, 1, 0), "shard 1's early tick merges first");
-        assert!(
-            keys.windows(2).all(|w| w[0] < w[1]),
-            "merged telemetry is strictly (tick, shard, seq)-ordered: {keys:?}"
-        );
+        assert_eq!(t.merge_streams(&merged_path).expect("merge"), 2);
+        let merged = std::fs::read_to_string(&merged_path).expect("read merged");
+        assert!(merged.starts_with("{\"tick\":0,\"time_ps\":50000000,\"shard\":1,"));
         for path in paths.iter().chain([&merged_path]) {
             let _ = std::fs::remove_file(path);
         }

@@ -8,7 +8,9 @@
 //! reconfiguration EWMA, cache hit rates, swap/steal/shed rates, and
 //! per-lane tail latencies from bounded ring windows.
 //!
-//! The design mirrors `rtr-trace` deliberately:
+//! The handle is built on `rtr-trace`'s per-shard stream substrate
+//! (`rtr_trace::ShardStream`), the same registry, ring, sink and merge
+//! code the trace journal runs on:
 //!
 //! * A [`Telemetry`] handle is a sibling of `Tracer`: cheaply cloneable,
 //!   `Send`, [`Telemetry::disabled`] by default (every instrumentation

@@ -1,5 +1,6 @@
 //! One telemetry sample and the gauge kinds that feed it.
 
+use rtr_trace::Record;
 use vp2_sim::{Json, SimTime};
 
 /// How a sampled number turns into the value the row carries.
@@ -82,6 +83,21 @@ impl TelemetryRow {
             .field("seq", self.seq)
             .field("scope", self.scope)
             .field("gauges", gauges)
+    }
+}
+
+impl Record for TelemetryRow {
+    const KEY_FIELDS: [&'static str; 3] = ["tick", "shard", "seq"];
+    /// The `.tl.` infix keeps telemetry streams distinct from the trace
+    /// journals that may share a base path.
+    const SUFFIX: &'static str = ".tl.jsonl";
+
+    fn merge_key(&self) -> (u64, u32, u64) {
+        self.key()
+    }
+
+    fn to_json(&self) -> Json {
+        TelemetryRow::to_json(self)
     }
 }
 

@@ -8,6 +8,8 @@
 
 use vp2_sim::{Json, SimTime};
 
+use crate::stream::Record;
+
 /// Every stable kind name [`TraceEvent::to_json`] can emit, for
 /// validators that want to reject unknown kinds in streamed journals.
 pub const KIND_NAMES: &[&str] = &[
@@ -485,5 +487,18 @@ impl TraceEvent {
                 base.field("kernel", *kernel).field("admitted", *admitted)
             }
         }
+    }
+}
+
+impl Record for TraceEvent {
+    const KEY_FIELDS: [&'static str; 3] = ["time_ps", "shard", "seq"];
+    const SUFFIX: &'static str = ".jsonl";
+
+    fn merge_key(&self) -> (u64, u32, u64) {
+        (self.time.as_ps(), self.shard, self.seq)
+    }
+
+    fn to_json(&self) -> Json {
+        TraceEvent::to_json(self)
     }
 }

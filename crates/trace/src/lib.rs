@@ -11,6 +11,11 @@
 //! quarantine machinery). [`Tracer::stream_to`] adds a buffered JSONL
 //! sink per journal so run length is disk-bounded, not ring-bounded.
 //!
+//! The per-shard registry, ring, sink, flush and merge are the generic
+//! [`ShardStream`] of the [`stream`] module, which `rtr-telemetry`'s
+//! time-series handle is built on as well: one substrate, two record
+//! types ([`TraceEvent`] keyed by `time_ps`, telemetry rows by `tick`).
+//!
 //! Design rules:
 //!
 //! * **Sim clock only.** Every event is stamped with the simulated
@@ -45,10 +50,12 @@ pub mod chrome;
 pub mod event;
 pub mod profile;
 pub mod span;
+pub mod stream;
 pub mod tracer;
 
 pub use chrome::chrome_trace;
 pub use event::{EventKind, TraceEvent, FEDERATION_SHARD, KIND_NAMES};
 pub use profile::{AttributionReport, Profiler, ShardAttribution};
 pub use span::{spans, RequestSpan};
+pub use stream::{Record, ShardStream};
 pub use tracer::Tracer;
